@@ -12,6 +12,11 @@
 // POST /v1/events, GET /v1/estimate, GET /v1/interval, GET /v1/selfjoin,
 // GET /v1/total, GET /v1/stats, GET /v1/sketch, POST /v1/advance, and
 // GET /v1/topk with -topk. The unversioned paths remain as aliases.
+//
+// POST /v1/events takes a JSON array or, as ecmclient sends, a binary event
+// run under Content-Type application/x-ecm-events (uvarint count, then
+// uvarint key, tick and multiplicity per event), applied all or nothing: a
+// malformed one gets 400 with accepted 0. Ingest bodies over 32 MiB get 413.
 package main
 
 import (

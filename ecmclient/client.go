@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"ecmsketch"
+	"ecmsketch/internal/core"
 	"ecmsketch/internal/wire"
 )
 
@@ -193,44 +194,24 @@ func (c *Client) do(req *http.Request, out any) error {
 
 // AddKey registers n arrivals of a pre-digested key at tick t.
 func (c *Client) AddKey(key uint64, t ecmsketch.Tick, n uint64) error {
-	q := url.Values{
-		"ikey": {strconv.FormatUint(key, 10)},
-		"t":    {strconv.FormatUint(t, 10)},
-		"n":    {strconv.FormatUint(n, 10)},
-	}
-	return c.post("/v1/add", q, nil, "", nil)
+	return c.AddEvents([]ecmsketch.Event{{Key: key, Tick: t, N: n}})
 }
 
-// AddKeyString registers n arrivals of a string key (digested server-side,
-// with the same KeyString digest as local sketches).
+// AddKeyString registers n arrivals of a string key, digested with the
+// same KeyString digest the server and local sketches apply.
 func (c *Client) AddKeyString(key string, t ecmsketch.Tick, n uint64) error {
-	q := url.Values{
-		"key": {key},
-		"t":   {strconv.FormatUint(t, 10)},
-		"n":   {strconv.FormatUint(n, 10)},
-	}
-	return c.post("/v1/add", q, nil, "", nil)
+	return c.AddKey(ecmsketch.KeyString(key), t, n)
 }
 
-// AddEvents ships a batch of arrivals in one POST /v1/events request.
+// AddEvents ships a batch of arrivals in one POST /v1/events request as a
+// binary event run (wire.EventsContentType), which the server applies all
+// or nothing: a rejected batch, e.g. one with a zero tick, lands nothing.
 func (c *Client) AddEvents(events []ecmsketch.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	type wireEvent struct {
-		IKey string `json:"ikey"`
-		T    uint64 `json:"t"`
-		N    uint64 `json:"n,omitempty"`
-	}
-	wire := make([]wireEvent, len(events))
-	for i, ev := range events {
-		wire[i] = wireEvent{IKey: strconv.FormatUint(ev.Key, 10), T: ev.Tick, N: ev.N}
-	}
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return err
-	}
-	return c.post("/v1/events", nil, bytes.NewReader(body), "application/json", nil)
+	body := core.AppendEvents(make([]byte, 0, 1+len(events)*8), events)
+	return c.post("/v1/events", nil, bytes.NewReader(body), wire.EventsContentType, nil)
 }
 
 // Query answers a multi-key query in one POST /v1/query round trip: point

@@ -9,11 +9,19 @@
 // POST /v1/events, GET /v1/estimate, ...); the unversioned paths of
 // earlier deployments remain as thin aliases. cmd/ecmserve wires this
 // package behind flags; ecmclient speaks the /v1 API as a typed Go client.
+//
+// Batch ingest bodies are CSV lines on /v1/batch and, on /v1/events, a
+// JSON array or — what ecmclient sends — a binary event run under
+// Content-Type application/x-ecm-events (see handleEvents), validated whole
+// so a malformed one gets 400 with accepted 0. Bodies over MaxIngestBody
+// get 413.
 package ecmserver
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,6 +32,7 @@ import (
 	"time"
 
 	"ecmsketch"
+	"ecmsketch/internal/core"
 	"ecmsketch/internal/standing"
 	"ecmsketch/internal/wire"
 )
@@ -259,21 +268,11 @@ var (
 	respond   = wire.Respond
 )
 
-// ingest feeds one arrival through the engine, keeping the TopK candidate
-// set in sync when enabled. The engine ingests the stream exactly once
-// either way, and always outside topkMu — the stripe locks, not the
-// candidate-set mutex, are the concurrency bottleneck.
-func (s *Server) ingest(key uint64, t ecmsketch.Tick, n uint64) {
-	s.engine.AddN(key, t, n)
-	if s.topk != nil {
-		s.topkMu.Lock()
-		s.topk.Note(key)
-		s.topkMu.Unlock()
-	}
-}
-
 // ingestBatch feeds a batch through the engine's lock-amortized path and
-// then registers the keys as TopK candidates without re-ingesting.
+// then registers the keys as TopK candidates without re-ingesting. The
+// engine ingests the stream exactly once either way, and always outside
+// topkMu — the stripe locks, not the candidate-set mutex, are the
+// concurrency bottleneck.
 func (s *Server) ingestBatch(events []ecmsketch.Event) {
 	s.engine.AddBatch(events)
 	if s.topk != nil {
@@ -302,73 +301,127 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.ingest(key, t, n)
+	s.ingestBatch([]ecmsketch.Event{{Key: key, Tick: t, N: n}})
 	respond(w, map[string]any{"ok": true})
 }
 
-// ingestFlushEvery bounds the memory of streaming batch uploads: parsed
-// events are flushed into the engine in chunks of this many, so arbitrarily
-// long request bodies never accumulate in full.
+// ingestFlushEvery bounds the memory of batch uploads: decoded events are
+// applied to the engine in chunks of this many, however long the body.
 const ingestFlushEvery = 4096
 
+// MaxIngestBody caps the body of every ingest route (POST /v1/events in
+// each format, POST /v1/batch); a longer body is refused with 413.
+const MaxIngestBody = 32 << 20
+
+// ingestSink is the one ingest path behind every batch body format:
+// decoded events collect in chunk, which is applied to the engine each time
+// it fills. Sinks are pooled with their chunk and binary-body buffer.
+type ingestSink struct {
+	s        *Server
+	body     bytes.Buffer
+	chunk    []ecmsketch.Event
+	accepted int    // events applied so far
+	firstErr string // first skipped CSV line
+}
+
+var sinkPool = sync.Pool{New: func() any {
+	return &ingestSink{chunk: make([]ecmsketch.Event, 0, ingestFlushEvery)}
+}}
+
+func (k *ingestSink) add(ev ecmsketch.Event) {
+	k.chunk = append(k.chunk, ev)
+	if len(k.chunk) == ingestFlushEvery {
+		k.flush()
+	}
+}
+
+func (k *ingestSink) flush() {
+	k.s.ingestBatch(k.chunk)
+	k.accepted += len(k.chunk)
+	k.chunk = k.chunk[:0]
+}
+
+// ingestBody decodes one ingest request body into a pooled sink and
+// replies with the count applied. A decode error answers 413 when the body
+// ran past MaxIngestBody and 400 otherwise; events queued but not yet
+// flushed when it struck are dropped.
+func (s *Server) ingestBody(w http.ResponseWriter, r *http.Request, decode func(*ingestSink, io.Reader) error) {
+	k := sinkPool.Get().(*ingestSink)
+	k.s, k.accepted, k.firstErr = s, 0, ""
+	defer func() {
+		k.s, k.chunk = nil, k.chunk[:0]
+		k.body.Reset()
+		if k.body.Cap() > 1<<20 {
+			k.body = bytes.Buffer{} // do not pin one large upload's buffer
+		}
+		sinkPool.Put(k)
+	}()
+	if err := decode(k, http.MaxBytesReader(w, r.Body, MaxIngestBody)); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": k.accepted})
+		return
+	}
+	k.flush()
+	resp := map[string]any{"accepted": k.accepted}
+	if k.firstErr != "" {
+		resp["firstError"] = k.firstErr
+	}
+	respond(w, resp)
+}
+
 // handleBatch ingests newline-separated "key,tick[,count]" records:
-// POST /v1/batch with a text body. Returns the number of accepted records
-// and the first error encountered, if any. Records are applied in chunks
-// as the body streams in, so a huge upload costs bounded memory (malformed
-// lines are skipped, as reported, not rolled back).
+// POST /v1/batch with a text body of at most MaxIngestBody bytes. Returns
+// the number of accepted records and the first error encountered, if any.
+// Records are applied in chunks as the body streams in, so a huge upload
+// costs bounded memory (malformed lines are skipped, as reported, not
+// rolled back).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(r.Body)
+	s.ingestBody(w, r, (*ingestSink).addCSV)
+}
+
+func (k *ingestSink) addCSV(body io.Reader) error {
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	accepted, lineNo := 0, 0
-	var firstErr string
-	events := make([]ecmsketch.Event, 0, ingestFlushEvery)
-	for sc.Scan() {
-		lineNo++
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		parts := strings.Split(line, ",")
-		if len(parts) < 2 {
-			if firstErr == "" {
-				firstErr = fmt.Sprintf("line %d: want key,tick[,count]", lineNo)
-			}
-			continue
-		}
-		t, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 64)
+		ev, err := parseRecord(line)
 		if err != nil {
-			if firstErr == "" {
-				firstErr = fmt.Sprintf("line %d: bad tick: %v", lineNo, err)
+			if k.firstErr == "" {
+				k.firstErr = fmt.Sprintf("line %d: %v", lineNo, err)
 			}
 			continue
 		}
-		n := uint64(1)
-		if len(parts) >= 3 {
-			if n, err = strconv.ParseUint(strings.TrimSpace(parts[2]), 10, 64); err != nil {
-				if firstErr == "" {
-					firstErr = fmt.Sprintf("line %d: bad count: %v", lineNo, err)
-				}
-				continue
-			}
+		k.add(ev)
+	}
+	return sc.Err()
+}
+
+// parseRecord parses one "key,tick[,count]" line of /v1/batch.
+func parseRecord(line string) (ecmsketch.Event, error) {
+	parts := strings.Split(line, ",")
+	if len(parts) < 2 {
+		return ecmsketch.Event{}, errors.New("want key,tick[,count]")
+	}
+	ev := ecmsketch.Event{Key: ecmsketch.KeyString(strings.TrimSpace(parts[0])), N: 1}
+	var err error
+	if ev.Tick, err = strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 64); err != nil {
+		return ev, fmt.Errorf("bad tick: %v", err)
+	}
+	if len(parts) >= 3 {
+		if ev.N, err = strconv.ParseUint(strings.TrimSpace(parts[2]), 10, 64); err != nil {
+			return ev, fmt.Errorf("bad count: %v", err)
 		}
-		key := ecmsketch.KeyString(strings.TrimSpace(parts[0]))
-		events = append(events, ecmsketch.Event{Key: key, Tick: t, N: n})
-		accepted++
-		if len(events) == ingestFlushEvery {
-			s.ingestBatch(events)
-			events = events[:0]
-		}
 	}
-	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.ingestBatch(events)
-	resp := map[string]any{"accepted": accepted}
-	if firstErr != "" {
-		resp["firstError"] = firstErr
-	}
-	respond(w, resp)
+	return ev, nil
 }
 
 // WireEvent is the JSON form of one batched arrival on POST /v1/events.
@@ -382,63 +435,83 @@ type WireEvent struct {
 	N    uint64 `json:"n,omitempty"`
 }
 
-// handleEvents ingests a JSON array of arrivals: POST /v1/events with body
-// [{"key":"/home","t":12345,"n":2}, {"ikey":"17446744073709551615","t":12346}].
-// The array is decoded element by element and flushed into the engine in
-// chunks, so body size does not bound memory; an error mid-stream returns
-// 400 with the count already accepted (earlier chunks are not rolled back).
+// handleEvents ingests a batch of arrivals: POST /v1/events, with a body of
+// at most MaxIngestBody bytes (413 beyond) in one of two forms.
+//
+// With Content-Type: application/x-ecm-events the body is a binary event
+// run, the encoding WAL batch records use (core.AppendEvents): a uvarint
+// event count, then per event the uvarint key (a KeyString digest or any
+// uint64), tick (≥ 1) and multiplicity (0 means 1). ecmclient sends this
+// form. The whole body is validated before anything is applied —
+// truncation, trailing bytes, a zero tick or a count the body cannot hold
+// answer 400 with accepted 0 — so a binary batch lands all or nothing.
+//
+// Any other body is a JSON array,
+// [{"key":"/home","t":12345,"n":2}, {"ikey":"17446744073709551615","t":12346}],
+// decoded element by element; an error mid-stream returns 400 with the
+// count already accepted (earlier chunks are not rolled back).
+//
+// Both forms, like /v1/batch, apply through one ingestSink in chunks of
+// ingestFlushEvery events.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	accepted := 0
-	fail := func(err error) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
+	decode := (*ingestSink).addJSON
+	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == wire.EventsContentType {
+		decode = (*ingestSink).addBinary
 	}
+	s.ingestBody(w, r, decode)
+}
+
+// addBinary buffers a binary event run and queues it all or nothing: one
+// validating pass over a copy of the reader, then one queueing pass.
+func (k *ingestSink) addBinary(body io.Reader) error {
+	if _, err := k.body.ReadFrom(body); err != nil {
+		return err
+	}
+	rd, err := core.NewEventReader(k.body.Bytes())
+	if err != nil {
+		return err
+	}
+	for check, i := rd, 0; ; i++ {
+		ev, ok := check.Next()
+		if !ok {
+			if err := check.Err(); err != nil {
+				return err
+			}
+			break
+		}
+		if ev.Tick == 0 {
+			return fmt.Errorf("event %d: zero tick", i)
+		}
+	}
+	for ev, ok := rd.Next(); ok; ev, ok = rd.Next() {
+		k.add(ev)
+	}
+	return nil
+}
+
+func (k *ingestSink) addJSON(body io.Reader) error {
+	dec := json.NewDecoder(body)
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
-		fail(fmt.Errorf("bad events body: want a JSON array"))
-		return
+		return errors.Join(errors.New("bad events body: want a JSON array"), err)
 	}
-	events := make([]ecmsketch.Event, 0, ingestFlushEvery)
 	for i := 0; dec.More(); i++ {
 		var ev WireEvent
 		if err := dec.Decode(&ev); err != nil {
-			fail(fmt.Errorf("event %d: %v", i, err))
-			return
+			return fmt.Errorf("event %d: %w", i, err)
 		}
-		var key uint64
-		switch {
-		case ev.Key != "":
-			key = ecmsketch.KeyString(ev.Key)
-		case ev.IKey != "":
-			v, err := strconv.ParseUint(ev.IKey, 10, 64)
-			if err != nil {
-				fail(fmt.Errorf("event %d: bad ikey: %v", i, err))
-				return
-			}
-			key = v
-		default:
-			fail(fmt.Errorf("event %d: missing key or ikey", i))
-			return
+		key, err := wire.KeyOf(ev.Key, ev.IKey)
+		if err != nil {
+			return fmt.Errorf("event %d: %v", i, err)
 		}
 		if ev.T == 0 {
-			fail(fmt.Errorf("event %d: missing or zero t", i))
-			return
+			return fmt.Errorf("event %d: missing or zero t", i)
 		}
-		events = append(events, ecmsketch.Event{Key: key, Tick: ev.T, N: ev.N})
-		if len(events) == ingestFlushEvery {
-			s.ingestBatch(events)
-			accepted += len(events)
-			events = events[:0]
-		}
+		k.add(ecmsketch.Event{Key: key, Tick: ev.T, N: ev.N})
 	}
 	if tok, err := dec.Token(); err != nil || tok != json.Delim(']') {
-		fail(fmt.Errorf("bad events body: unterminated array"))
-		return
+		return errors.Join(errors.New("bad events body: unterminated array"), err)
 	}
-	s.ingestBatch(events)
-	accepted += len(events)
-	respond(w, map[string]any{"accepted": accepted})
+	return nil
 }
 
 // MaxQueryKeys re-exports the per-request key cap of POST /v1/query (see

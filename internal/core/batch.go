@@ -1,6 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+
 	"ecmsketch/internal/hashing"
 )
 
@@ -13,6 +18,99 @@ type Event struct {
 	Tick Tick
 	N    uint64 // arrival multiplicity; 0 is treated as 1
 }
+
+// Event runs are the one binary encoding of an event batch: a uvarint event
+// count, then per event the uvarint key, tick and multiplicity. The same
+// bytes are the body of POST /v1/events under application/x-ecm-events and
+// the event payload of a WAL batch record, so wire and log share a codec.
+
+// minEventBytes is the smallest encoded event (three one-byte uvarints); it
+// bounds how many events a run of a given length can declare.
+const minEventBytes = 3
+
+var errBadEvents = errors.New("core: truncated or malformed event run")
+
+// AppendEvents appends the event run encoding evs to dst.
+func AppendEvents(dst []byte, evs []Event) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
+	for _, ev := range evs {
+		dst = binary.AppendUvarint(dst, ev.Key)
+		dst = binary.AppendUvarint(dst, ev.Tick)
+		dst = binary.AppendUvarint(dst, ev.N)
+	}
+	return dst
+}
+
+// DecodeEvents decodes the event run spanning b exactly and appends its
+// events to dst. It fails on truncation, on trailing bytes, and on a count
+// larger than b can hold, before allocating for it.
+func DecodeEvents(b []byte, dst []Event) ([]Event, error) {
+	rd, err := NewEventReader(b)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, rd.Len())
+	for ev, ok := rd.Next(); ok; ev, ok = rd.Next() {
+		dst = append(dst, ev)
+	}
+	return dst, rd.Err()
+}
+
+// EventReader walks an event run one event at a time without materializing
+// it. It is a value: a copy re-reads from the copied position, which lets a
+// caller validate a whole run in one pass and apply it in a second.
+type EventReader struct {
+	b    []byte
+	left int
+	err  error
+}
+
+// NewEventReader starts reading the event run that spans b exactly. A
+// declared count larger than b can hold is rejected here.
+func NewEventReader(b []byte) (EventReader, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return EventReader{}, errBadEvents
+	}
+	b = b[k:]
+	if n > uint64(len(b)/minEventBytes) {
+		return EventReader{}, fmt.Errorf("core: event run declares %d events in %d bytes", n, len(b))
+	}
+	return EventReader{b: b, left: int(n)}, nil
+}
+
+// Len reports how many events remain to be read.
+func (r *EventReader) Len() int { return r.left }
+
+// Next returns the next event; ok is false at the end of the run or at the
+// first decoding failure (see Err).
+func (r *EventReader) Next() (ev Event, ok bool) {
+	if r.left == 0 {
+		if r.err == nil && len(r.b) != 0 {
+			r.err = errors.New("core: trailing bytes after event run")
+		}
+		return Event{}, false
+	}
+	var k1, k2, k3 int
+	ev.Key, k1 = binary.Uvarint(r.b)
+	if k1 > 0 {
+		ev.Tick, k2 = binary.Uvarint(r.b[k1:])
+		if k2 > 0 {
+			ev.N, k3 = binary.Uvarint(r.b[k1+k2:])
+		}
+	}
+	if k1 <= 0 || k2 <= 0 || k3 <= 0 {
+		r.err, r.left, r.b = errBadEvents, 0, nil
+		return Event{}, false
+	}
+	r.b = r.b[k1+k2+k3:]
+	r.left--
+	return ev, true
+}
+
+// Err reports the first failure met by Next: truncation, or bytes left over
+// after the declared count.
+func (r *EventReader) Err() error { return r.err }
 
 // batchScratch is the reusable working memory of the batch ingest pipeline.
 // It is retained on the sketch between batches (sized by the largest batch

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -87,6 +89,36 @@ func FuzzECMPointBound(f *testing.F) {
 			if got < (1-split.EpsSW)*want-1 {
 				t.Fatalf("Estimate(%d)=%v undershoots true %v beyond ε_sw=%v", k, got, want, split.EpsSW)
 			}
+		}
+	})
+}
+
+// FuzzDecodeEvents: the event-run decoder (the /v1/events binary body and
+// the WAL batch payload) must never panic, must size its output by the
+// input rather than by the declared count, and must round-trip whatever it
+// accepts.
+func FuzzDecodeEvents(f *testing.F) {
+	enc := AppendEvents(nil, []Event{{Key: 1, Tick: 1}, {Key: 1<<64 - 1, Tick: 1 << 40, N: 7}, {Key: 300, Tick: 2, N: 0}})
+	f.Add(enc)
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add(enc[:len(enc)-1])
+	f.Add(append(append([]byte(nil), enc...), 9))
+	f.Add(binary.AppendUvarint(nil, 1<<62))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := DecodeEvents(data, nil)
+		if limit := len(data) / minEventBytes; len(evs) > limit || cap(evs) > 2*limit {
+			t.Fatalf("%d input bytes decoded into len %d cap %d", len(data), len(evs), cap(evs))
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeEvents(AppendEvents(nil, evs), nil)
+		if err != nil {
+			t.Fatalf("re-encoded run rejected: %v", err)
+		}
+		if !slices.Equal(again, evs) {
+			t.Fatalf("round trip changed the events: %v -> %v", evs, again)
 		}
 	})
 }

@@ -166,3 +166,55 @@ func TestPatchMergedValidation(t *testing.T) {
 		t.Error("failed PatchMerged mutated the destination")
 	}
 }
+
+// TestPatchMergedNilNoteExpires pins that a nil note means "advance without
+// reporting": patching a destination whose clock trails the inputs runs
+// expiry that drops content, which must neither call the nil note nor leave
+// the patched sketch answering differently from a fresh merge. (Bytes are
+// not compared: a DW cell expired after merging keeps different level
+// bookkeeping than one merged from expired inputs, with equal answers.)
+func TestPatchMergedNilNoteExpires(t *testing.T) {
+	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW, window.AlgoRW} {
+		t.Run(algo.String(), func(t *testing.T) {
+			inputs := make([]*Sketch, 2)
+			for i := range inputs {
+				s, err := New(sparseParams(algo))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < 50; j++ {
+					s.AddN(uint64(i*97+j%7), Tick(j+1), uint64(j%3+1))
+				}
+				inputs[i] = s
+			}
+			merged, err := Merge(inputs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The inputs' clocks move past the whole window; the merged
+			// destination still holds the old content.
+			for _, in := range inputs {
+				in.Advance(10 * in.params.WindowLength)
+			}
+			if err := PatchMerged(merged, inputs, nil, false, nil); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Merge(inputs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merged.Now() != fresh.Now() {
+				t.Fatalf("patched clock %d, fresh merge %d", merged.Now(), fresh.Now())
+			}
+			r := inputs[0].params.WindowLength
+			for key := uint64(0); key < 200; key++ {
+				if got, want := merged.Estimate(key, r), fresh.Estimate(key, r); got != want || got != 0 {
+					t.Fatalf("key %d: patched estimate %v, fresh merge %v, want 0", key, got, want)
+				}
+			}
+			if got := merged.EstimateTotal(r); got != 0 {
+				t.Fatalf("patched total %v after full expiry, want 0", got)
+			}
+		})
+	}
+}

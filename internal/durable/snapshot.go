@@ -190,12 +190,7 @@ func AppendRecord(dst []byte, r *Record) []byte {
 		dst = binary.AppendUvarint(dst, r.Part)
 		dst = binary.AppendUvarint(dst, r.Tick)
 		dst = binary.AppendUvarint(dst, r.Ver)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Events)))
-		for _, ev := range r.Events {
-			dst = binary.AppendUvarint(dst, ev.Key)
-			dst = binary.AppendUvarint(dst, ev.Tick)
-			dst = binary.AppendUvarint(dst, ev.N)
-		}
+		dst = core.AppendEvents(dst, r.Events)
 	case RecordAdvance:
 		dst = binary.AppendUvarint(dst, r.Part)
 		dst = binary.AppendUvarint(dst, r.Tick)
@@ -240,25 +235,10 @@ func DecodeRecord(b []byte) (Record, error) {
 		if r.Ver, err = getU(); err != nil {
 			return Record{}, err
 		}
-		nev, err := getU()
-		if err != nil {
+		if r.Events, err = core.DecodeEvents(b[off:], nil); err != nil {
 			return Record{}, err
 		}
-		if nev > uint64(len(b)-off) { // each event is ≥ 3 bytes
-			return Record{}, errors.New("durable: truncated WAL batch")
-		}
-		r.Events = make([]core.Event, nev)
-		for i := range r.Events {
-			if r.Events[i].Key, err = getU(); err != nil {
-				return Record{}, err
-			}
-			if r.Events[i].Tick, err = getU(); err != nil {
-				return Record{}, err
-			}
-			if r.Events[i].N, err = getU(); err != nil {
-				return Record{}, err
-			}
-		}
+		off = len(b)
 	case RecordAdvance:
 		if r.Part, err = getU(); err != nil {
 			return Record{}, err

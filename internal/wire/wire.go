@@ -52,6 +52,10 @@ const (
 	KindDelta = "delta"
 )
 
+// EventsContentType marks a POST /v1/events body as a binary event run
+// (core.AppendEvents), the encoding WAL batch records carry.
+const EventsContentType = "application/x-ecm-events"
+
 // MaxSnapshotBytes bounds any snapshot body read through this package
 // (1 GiB, the historical ecmcoord limit), so a misbehaving peer cannot
 // exhaust puller memory. The same cap applies after gzip expansion.
@@ -77,17 +81,24 @@ func Respond(w http.ResponseWriter, v any) {
 // ParseKey resolves the queried item key from either ?key= (string,
 // digested with the library digest) or ?ikey= (raw decimal uint64).
 func ParseKey(r *http.Request) (uint64, error) {
-	if k := r.URL.Query().Get("key"); k != "" {
-		return hashing.KeyString(k), nil
+	q := r.URL.Query()
+	return KeyOf(q.Get("key"), q.Get("ikey"))
+}
+
+// KeyOf resolves an item named either by key (a string, digested with the
+// library digest) or, when key is empty, by ikey (a decimal uint64).
+func KeyOf(key, ikey string) (uint64, error) {
+	if key != "" {
+		return hashing.KeyString(key), nil
 	}
-	if k := r.URL.Query().Get("ikey"); k != "" {
-		v, err := strconv.ParseUint(k, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad ikey: %v", err)
-		}
-		return v, nil
+	if ikey == "" {
+		return 0, errors.New("missing key or ikey")
 	}
-	return 0, fmt.Errorf("missing key or ikey parameter")
+	v, err := strconv.ParseUint(ikey, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad ikey: %v", err)
+	}
+	return v, nil
 }
 
 // ParseU64 reads an optional uint64 query parameter.
@@ -216,18 +227,11 @@ func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 				if err := dec.Decode(&wk); err != nil {
 					return q, fmt.Errorf("key %d: %v", len(q.Keys), err)
 				}
-				switch {
-				case wk.Key != "":
-					q.Keys = append(q.Keys, hashing.KeyString(wk.Key))
-				case wk.IKey != "":
-					v, err := strconv.ParseUint(wk.IKey, 10, 64)
-					if err != nil {
-						return q, fmt.Errorf("key %d: bad ikey: %v", len(q.Keys), err)
-					}
-					q.Keys = append(q.Keys, v)
-				default:
-					return q, fmt.Errorf("key %d: missing key or ikey", len(q.Keys))
+				key, err := KeyOf(wk.Key, wk.IKey)
+				if err != nil {
+					return q, fmt.Errorf("key %d: %v", len(q.Keys), err)
 				}
+				q.Keys = append(q.Keys, key)
 			}
 			if tok, err := dec.Token(); err != nil || tok != json.Delim(']') {
 				return q, fmt.Errorf("bad query body: unterminated keys array")
