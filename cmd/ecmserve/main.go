@@ -51,7 +51,7 @@ func main() {
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (behind -token auth when set)")
 		dataDir = flag.String("data-dir", "", "persist epoch, snapshots, and a batch WAL under this directory; a restart replays to the pre-crash state and keeps serving deltas (empty = memory only)")
 		snapIvl = flag.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a fresh snapshot (requires -data-dir)")
-		walSync = flag.Duration("wal-sync", 0, "group-commit WAL fsync period; 0 fsyncs every batch (requires -data-dir)")
+		walSync = flag.Duration("wal-sync", 0, "background WAL fsync period; 0 commits each write (per 4096-event ingest chunk) with one fsync before acknowledging it (requires -data-dir)")
 	)
 	flag.Parse()
 	if (*tlsCert == "") != (*tlsKey == "") {

@@ -7,12 +7,19 @@ package ecmsketch
 // epoch, same cell versions — so a restart invalidates no downstream
 // delta cursor.
 //
-// Correctness hinges on three invariants:
+// Correctness hinges on four invariants:
 //
 //   - Per-stripe WAL order equals apply order: records are appended while
 //     the stripe lock is still held, so replaying a segment in append
 //     order replays each stripe's mutations in their original order
 //     (cross-stripe interleaving is irrelevant — stripes are independent).
+//   - With SyncInterval == 0 each write call (AddBatch, AddN, Advance)
+//     ends with one commit: one fsync under mu, holding the locks of the
+//     stripes it mutated (taken in ascending order), so nothing is visible
+//     to a query, delta pull or standing notification before it is
+//     durable. Read-path settle records get no sync of their own and ride
+//     the next commit: they are pure expiry, and a lost unsynced suffix of
+//     them replays to the same settled state.
 //   - Expiry runs in replay exactly where it ran originally. Batch records
 //     carry the stripe clock from immediately before the apply; replay
 //     restores it clock-only (SetClock — no settling), so per-cell expiry
@@ -79,12 +86,16 @@ type DurabilityConfig struct {
 	// and explicit Checkpoint calls — the WAL then grows until one.
 	SnapshotInterval time.Duration
 	// SyncInterval is the fsync cadence of WAL appends. 0 (the default)
-	// fsyncs every append: an applied write is durable when its call
-	// returns, at a heavy ingest cost. A positive interval batches
-	// fsyncs in the background: a crash may lose up to one interval of
-	// the most recent acknowledged writes (always a per-stripe suffix —
-	// never a gap), which is the usual group-commit trade. Flush and
-	// Checkpoint always sync regardless.
+	// ends every write call with one fsync covering the records of every
+	// stripe it touched: the write is durable, and visible, when its call
+	// returns. A positive interval batches fsyncs in the background: a
+	// crash may lose up to one interval of the most recent acknowledged
+	// writes (always a per-stripe suffix — never a gap), which is the
+	// usual group-commit trade. Flush and Checkpoint always sync
+	// regardless. Known hazard: with a positive interval, delta pulls can
+	// serve unsynced records; after a machine crash (not kill -9) recovery
+	// reuses the epoch and reissues those cell versions with different
+	// content, so a puller's cursor can silently diverge.
 	SyncInterval time.Duration
 }
 
@@ -112,7 +123,7 @@ func durWALName(gen uint64) string { return fmt.Sprintf("wal-%d", gen) }
 type durableState struct {
 	store     DurableStore
 	fp        uint64
-	syncEvery bool // fsync on every append (SyncInterval == 0)
+	syncEvery bool // one fsync per write call (SyncInterval == 0)
 
 	// mu guards the active segment (wal, gen, closed) and the encoding
 	// scratch. Appends take it while holding a stripe lock; nothing under
@@ -512,7 +523,7 @@ func (d *durableState) appendRecord(rec *durable.Record) {
 		return
 	}
 	d.buf = durable.AppendRecord(d.buf[:0], rec)
-	err := d.wal.Append(d.buf, d.syncEvery)
+	err := d.wal.Append(d.buf, false)
 	d.mu.Unlock()
 	if err != nil {
 		// Ingest cannot return errors; the engine keeps applying in memory
@@ -521,17 +532,24 @@ func (d *durableState) appendRecord(rec *durable.Record) {
 	}
 }
 
-// syncNow makes every appended WAL record durable; the Flush barrier and
-// the background sync loop both land here.
+// commit ends a write call: in the sync-every mode, one sync covering every
+// record the call appended (see the file comment).
+func (d *durableState) commit() {
+	if d != nil && d.syncEvery {
+		d.syncNow()
+	}
+}
+
+// syncNow makes every appended WAL record durable; commits, the Flush
+// barrier and the background sync loop all land here. It syncs under mu,
+// so the segment synced is the active one (a rotation syncs the sealed).
 func (d *durableState) syncNow() {
 	d.mu.Lock()
-	w := d.wal
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
+	defer d.mu.Unlock()
+	if d.closed {
 		return
 	}
-	if err := w.Sync(); err != nil {
+	if err := d.wal.Sync(); err != nil {
 		d.errs.Add(1)
 	}
 }

@@ -82,8 +82,11 @@ type Config struct {
 	// shutdown, letting the WAL grow between them.
 	SnapshotInterval time.Duration
 	// WALSyncInterval is the WAL fsync cadence (see
-	// ecmsketch.DurabilityConfig.SyncInterval): 0 fsyncs every append;
-	// a positive interval group-commits in the background.
+	// ecmsketch.DurabilityConfig.SyncInterval): 0 commits every engine
+	// write (one per 4096-event ingest chunk) with one fsync before it is
+	// acknowledged or visible; a
+	// positive interval syncs in the background, and then delta pulls
+	// may serve writes a machine crash loses.
 	WALSyncInterval time.Duration
 	// DurableStore, when non-nil, supplies the persistence backend directly
 	// (e.g. ecmsketch.NewMemStore in tests) and takes precedence over

@@ -36,6 +36,12 @@ type Registry struct {
 	// scratch buffers reused across evaluation passes (all under mu).
 	cellScratch []int
 	itemScratch []Item
+	keyScratch  []uint64
+	// changed and memo (Target.Estimate by key and range) live for one
+	// pass; inPass keeps registration-time evaluations off the memo.
+	changed changeSet
+	memo    map[[2]uint64]float64
+	inPass  bool
 }
 
 // subscription groups the queries registered by one Subscribe call, the
@@ -86,6 +92,7 @@ func NewRegistry(cfg Config) *Registry {
 	return &Registry{
 		cfg:  cfg.withDefaults(),
 		subs: make(map[string]*subscription),
+		memo: make(map[[2]uint64]float64),
 	}
 }
 
@@ -372,7 +379,7 @@ func (r *Registry) Stats() (subs, queries, watchers int, dropped uint64) {
 
 // NoteKey notes one touched key (the AddN path).
 func (r *Registry) NoteKey(key uint64) {
-	r.noteKeys([]uint64{key})
+	r.NoteEvents([]core.Event{{Key: key}})
 }
 
 // NoteEvents notes a landed batch (the AddBatch path): the touched keys are
@@ -387,11 +394,22 @@ func (r *Registry) NoteEvents(events []core.Event) {
 		r.syncClockLocked()
 		return
 	}
-	keys := make([]uint64, len(events))
+	keys := r.keyScratch[:0]
 	for i := range events {
-		keys[i] = events[i].Key
+		keys = append(keys, events[i].Key)
 	}
-	r.notePassLocked(r.cellSetLocked(keys), keys)
+	r.keyScratch = keys
+	if r.indexer == nil {
+		r.changed.all = true // without cell indexing every touch marks everything
+	} else {
+		for _, k := range keys {
+			r.cellScratch = r.indexer.CellIndices(k, r.cellScratch[:0])
+			for _, c := range r.cellScratch {
+				r.changed.add(c)
+			}
+		}
+	}
+	r.notePassLocked(keys)
 }
 
 // NoteAdvance notes a pure clock advance (expiry only, no arrivals).
@@ -402,17 +420,7 @@ func (r *Registry) NoteAdvance() {
 		r.syncClockLocked()
 		return
 	}
-	r.notePassLocked(changeSet{}, nil)
-}
-
-func (r *Registry) noteKeys(keys []uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.preds) == 0 {
-		r.syncClockLocked()
-		return
-	}
-	r.notePassLocked(r.cellSetLocked(keys), keys)
+	r.notePassLocked(nil)
 }
 
 // NoteCells notes externally-observed cell changes — the coordinator path
@@ -425,14 +433,7 @@ func (r *Registry) NoteCells(cells []int, all bool) {
 		r.syncClockLocked()
 		return
 	}
-	set := changeSet{all: all}
-	if !all {
-		set.cells = make(map[int]struct{}, len(cells))
-		for _, c := range cells {
-			set.cells[c] = struct{}{}
-		}
-	}
-	r.notePassLocked(set, nil)
+	r.noteCellsLocked(cells, all)
 }
 
 // RefreshTarget atomically swaps the evaluation target (a coordinator's
@@ -450,14 +451,16 @@ func (r *Registry) RefreshTarget(t Target, cells []int, all bool) {
 		r.syncClockLocked()
 		return
 	}
-	set := changeSet{all: all}
-	if !all {
-		set.cells = make(map[int]struct{}, len(cells))
-		for _, c := range cells {
-			set.cells[c] = struct{}{}
-		}
+	r.noteCellsLocked(cells, all)
+}
+
+// noteCellsLocked runs a pass over externally reported changed cells.
+func (r *Registry) noteCellsLocked(cells []int, all bool) {
+	r.changed.all = all
+	for _, c := range cells {
+		r.changed.add(c)
 	}
-	r.notePassLocked(set, nil)
+	r.notePassLocked(nil)
 }
 
 // syncClockLocked keeps the advance detector current while no queries are
@@ -470,36 +473,32 @@ func (r *Registry) syncClockLocked() {
 	}
 }
 
-// changeSet is the per-pass description of what moved: a cell-index set, or
-// the all flag when cell granularity is unavailable (no indexer bound, full
-// snapshot applied, oversize delta).
+// changeSet is the per-pass description of what moved: a bitset over
+// Count-Min cell indices, or the all flag when cell granularity is
+// unavailable (no indexer bound, full snapshot applied, oversize delta).
 type changeSet struct {
-	cells map[int]struct{}
-	all   bool
+	bits     []uint64
+	any, all bool // any: some cell is set
 }
 
-func (c changeSet) any() bool { return c.all || len(c.cells) > 0 }
-
-// cellSetLocked maps touched keys to the set of Count-Min cells they land
-// in. Without a cell indexer every touch conservatively marks everything.
-func (r *Registry) cellSetLocked(keys []uint64) changeSet {
-	if r.indexer == nil {
-		return changeSet{all: len(keys) > 0}
+func (c *changeSet) add(cell int) {
+	for cell>>6 >= len(c.bits) {
+		c.bits = append(c.bits, 0)
 	}
-	set := changeSet{cells: make(map[int]struct{}, 4*len(keys))}
-	for _, k := range keys {
-		r.cellScratch = r.indexer.CellIndices(k, r.cellScratch[:0])
-		for _, c := range r.cellScratch {
-			set.cells[c] = struct{}{}
-		}
-	}
-	return set
+	c.bits[cell>>6] |= 1 << (cell & 63)
+	c.any = true
 }
 
-// notePassLocked is the incremental evaluation pass: admit learned top-k
-// candidates from the touched keys, then re-check exactly the predicates
-// the change set or the clock advance can affect.
-func (r *Registry) notePassLocked(changed changeSet, keys []uint64) {
+func (c *changeSet) has(cell int) bool {
+	return cell>>6 < len(c.bits) && c.bits[cell>>6]&(1<<(cell&63)) != 0
+}
+
+// notePassLocked is the incremental evaluation pass over r.changed: admit
+// learned top-k candidates from the touched keys, then re-check exactly the
+// predicates the change set or the clock advance can affect. Estimates are
+// memoized for the pass; the change set and memo are emptied when it ends.
+func (r *Registry) notePassLocked(keys []uint64) {
+	defer r.endPassLocked()
 	t := r.target
 	if t == nil {
 		return
@@ -509,6 +508,8 @@ func (r *Registry) notePassLocked(changed changeSet, keys []uint64) {
 	if advanced {
 		r.lastNow = now
 	}
+	clear(r.memo)
+	r.inPass = true
 	for _, p := range r.preds {
 		if p.learned && len(keys) > 0 {
 			for _, k := range keys {
@@ -517,10 +518,33 @@ func (r *Registry) notePassLocked(changed changeSet, keys []uint64) {
 				}
 			}
 		}
-		if r.affectedLocked(p, changed, advanced) {
+		if r.affectedLocked(p, advanced) {
 			r.evalLocked(p, t, now)
 		}
 	}
+}
+
+func (r *Registry) endPassLocked() {
+	clear(r.changed.bits)
+	r.changed.any, r.changed.all = false, false
+	clear(r.memo)
+	r.inPass = false
+}
+
+// estimateLocked is Target.Estimate, memoized for the duration of a pass: a
+// ladder of predicates on one key reads its estimate once per pass, not
+// once per predicate.
+func (r *Registry) estimateLocked(t Target, key uint64, rng core.Tick) float64 {
+	if !r.inPass {
+		return t.Estimate(key, rng)
+	}
+	k := [2]uint64{key, rng}
+	if v, ok := r.memo[k]; ok {
+		return v
+	}
+	v := t.Estimate(key, rng)
+	r.memo[k] = v
+	return v
 }
 
 // affectedLocked decides whether a predicate needs re-checking this pass.
@@ -534,15 +558,16 @@ func (r *Registry) notePassLocked(changed changeSet, keys []uint64) {
 //     estimates, so a disarmed threshold stays below and is skipped; armed
 //     thresholds (falling edges), rate (the preceding window shrinking can
 //     raise the ratio) and top-k (relative order can shuffle) re-check.
-func (r *Registry) affectedLocked(p *pred, changed changeSet, advanced bool) bool {
+func (r *Registry) affectedLocked(p *pred, advanced bool) bool {
+	changed := &r.changed
 	var touched bool
 	if changed.all {
 		touched = true
 	} else if p.learned || p.cells == nil {
-		touched = changed.any()
+		touched = changed.any
 	} else {
 		for _, c := range p.cells {
-			if _, ok := changed.cells[c]; ok {
+			if changed.has(c) {
 				touched = true
 				break
 			}
@@ -584,7 +609,7 @@ func (r *Registry) evalLocked(p *pred, t Target, now core.Tick) {
 }
 
 func (r *Registry) evalThresholdLocked(p *pred, t Target, now core.Tick) {
-	cur := t.Estimate(p.q.Key, r.rangeOf(p, now))
+	cur := r.estimateLocked(t, p.q.Key, r.rangeOf(p, now))
 	high := cur >= p.q.Value
 	if high != p.high {
 		// Rising edges fire plain thresholds; falling edges fire Below
@@ -607,7 +632,7 @@ func (r *Registry) evalThresholdLocked(p *pred, t Target, now core.Tick) {
 
 func (r *Registry) evalRateLocked(p *pred, t Target, now core.Tick) {
 	rng := r.rangeOf(p, now)
-	cur := t.Estimate(p.q.Key, rng)
+	cur := r.estimateLocked(t, p.q.Key, rng)
 	var from, to core.Tick
 	if now > rng {
 		to = now - rng
@@ -637,7 +662,7 @@ func (r *Registry) evalTopKLocked(p *pred, t Target, now core.Tick) {
 	rng := r.rangeOf(p, now)
 	scored := r.itemScratch[:0]
 	for k := range p.scores {
-		est := t.Estimate(k, rng)
+		est := r.estimateLocked(t, k, rng)
 		p.scores[k] = est
 		scored = append(scored, Item{Key: k, Estimate: est})
 	}

@@ -339,13 +339,14 @@ func (sh *Sharded) observe(t Tick) {
 	}
 }
 
-// noteMutation publishes a stripe's post-mutation state: the version bump
-// invalidates its cached snapshot, the count cache feeds lock-free
-// Sharded.Count reads. Callers must hold s.mu.
-func (s *shard) noteMutation() {
+// release publishes a stripe's post-mutation state and unlocks s.mu: the
+// version bump invalidates its cached snapshot, the count cache feeds
+// lock-free Sharded.Count reads.
+func (s *shard) release() {
 	s.count.Store(s.sk.Count())
 	s.deltaVer.Store(s.sk.DeltaVersion())
 	s.version.Add(1)
+	s.mu.Unlock()
 }
 
 // SetNotifier installs (or, with nil, removes) the change-note hook. Notes
@@ -409,9 +410,9 @@ func (sh *Sharded) AddN(key uint64, t Tick, n uint64) {
 	if sh.dur != nil {
 		one := [1]Event{{Key: key, Tick: t, N: n}}
 		sh.logBatch(si, pre, s.sk.DeltaVersion(), one[:])
+		sh.dur.commit()
 	}
-	s.noteMutation()
-	s.mu.Unlock()
+	s.release()
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteKey(key)
 	}
@@ -450,10 +451,10 @@ func (sh *Sharded) AddBatch(events []Event) {
 		s.sk.AddBatch(events)
 		if sh.dur != nil {
 			sh.logBatch(0, pre, s.sk.DeltaVersion(), events)
+			sh.dur.commit()
 		}
 		maxTick := s.sk.Now()
-		s.noteMutation()
-		s.mu.Unlock()
+		s.release()
 		sh.observe(maxTick)
 		if nt := sh.loadNotifier(); nt != nil {
 			nt.NoteEvents(events)
@@ -467,7 +468,9 @@ func (sh *Sharded) AddBatch(events []Event) {
 	// the sketch's own batch pipeline (row-major arena sweep for EH), so
 	// striping does not forfeit the devirtualized hot path. The engine-level
 	// ticks are already clamped, so the per-sketch validation is a no-op
-	// pass over an in-order sequence.
+	// pass over an in-order sequence. In the sync-every durability mode the
+	// touched stripes stay locked until the call's one fsync (durable.go).
+	hold := sh.dur != nil && sh.dur.syncEvery
 	for si := range sh.shards {
 		i := sc.heads[si]
 		if i < 0 {
@@ -488,9 +491,18 @@ func (sh *Sharded) AddBatch(events []Event) {
 			// through the same per-sketch fast path it was applied on.
 			sh.logBatch(si, pre, s.sk.DeltaVersion(), sub)
 		}
-		s.noteMutation()
-		s.mu.Unlock()
+		if !hold {
+			s.release()
+		}
 		sc.sub = sub[:0] // retain any growth for the next stripe
+	}
+	if hold {
+		sh.dur.commit()
+		for si := range sh.shards {
+			if sc.heads[si] >= 0 {
+				sh.shards[si].release()
+			}
+		}
 	}
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteEvents(events)
@@ -634,9 +646,9 @@ func (sh *Sharded) stripeOwner(i int, q chan stripeMsg) {
 			s.sk.Advance(m.adv.t)
 			if sh.dur != nil {
 				sh.logAdvance(i, m.adv.t)
+				sh.dur.commit()
 			}
-			s.noteMutation()
-			s.mu.Unlock()
+			s.release()
 			if m.adv.pending.Add(-1) == 0 {
 				if nt := sh.loadNotifier(); nt != nil {
 					nt.NoteAdvance()
@@ -648,9 +660,9 @@ func (sh *Sharded) stripeOwner(i int, q chan stripeMsg) {
 			s.sk.AddBatch(m.events)
 			if sh.dur != nil {
 				sh.logBatch(i, pre, s.sk.DeltaVersion(), m.events)
+				sh.dur.commit()
 			}
-			s.noteMutation()
-			s.mu.Unlock()
+			s.release()
 			if nt := sh.loadNotifier(); nt != nil {
 				nt.NoteEvents(m.events)
 			}
@@ -759,6 +771,8 @@ func (sh *Sharded) Advance(t Tick) {
 		return
 	}
 	sh.observe(t)
+	// Every stripe stays locked until the commit (see the durable.go file
+	// comment), so readers also see the advance land on all stripes at once.
 	for i := range sh.shards {
 		s := &sh.shards[i]
 		s.mu.Lock()
@@ -766,14 +780,13 @@ func (sh *Sharded) Advance(t Tick) {
 		if sh.dur != nil {
 			// Advances are logged per stripe, under each stripe's lock, so
 			// per-stripe WAL order matches apply order even when a batch on
-			// another goroutine interleaves with this loop. Read-path
-			// advances (Estimate settling a stripe) are deliberately not
-			// logged: they are pure expiry, and batch records replay the
-			// expiry frontier they established via their pre-apply clock.
+			// another goroutine interleaves with this loop.
 			sh.logAdvance(i, t)
 		}
-		s.noteMutation()
-		s.mu.Unlock()
+	}
+	sh.dur.commit()
+	for i := range sh.shards {
+		sh.shards[i].release()
 	}
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteAdvance()
