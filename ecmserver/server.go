@@ -84,9 +84,9 @@ type Config struct {
 	// WALSyncInterval is the WAL fsync cadence (see
 	// ecmsketch.DurabilityConfig.SyncInterval): 0 commits every engine
 	// write (one per 4096-event ingest chunk) with one fsync before it is
-	// acknowledged or visible; a
-	// positive interval syncs in the background, and then delta pulls
-	// may serve writes a machine crash loses.
+	// acknowledged or visible; a positive interval syncs in the
+	// background, and then delta pulls may serve writes a machine crash
+	// loses.
 	WALSyncInterval time.Duration
 	// DurableStore, when non-nil, supplies the persistence backend directly
 	// (e.g. ecmsketch.NewMemStore in tests) and takes precedence over

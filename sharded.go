@@ -468,9 +468,8 @@ func (sh *Sharded) AddBatch(events []Event) {
 	// the sketch's own batch pipeline (row-major arena sweep for EH), so
 	// striping does not forfeit the devirtualized hot path. The engine-level
 	// ticks are already clamped, so the per-sketch validation is a no-op
-	// pass over an in-order sequence. In the sync-every durability mode the
-	// touched stripes stay locked until the call's one fsync (durable.go).
-	hold := sh.dur != nil && sh.dur.syncEvery
+	// pass over an in-order sequence. The touched stripes stay locked until
+	// the call's one commit (see the durable.go file comment).
 	for si := range sh.shards {
 		i := sc.heads[si]
 		if i < 0 {
@@ -491,17 +490,12 @@ func (sh *Sharded) AddBatch(events []Event) {
 			// through the same per-sketch fast path it was applied on.
 			sh.logBatch(si, pre, s.sk.DeltaVersion(), sub)
 		}
-		if !hold {
-			s.release()
-		}
 		sc.sub = sub[:0] // retain any growth for the next stripe
 	}
-	if hold {
-		sh.dur.commit()
-		for si := range sh.shards {
-			if sc.heads[si] >= 0 {
-				sh.shards[si].release()
-			}
+	sh.dur.commit()
+	for si := range sh.shards {
+		if sc.heads[si] >= 0 {
+			sh.shards[si].release()
 		}
 	}
 	if nt := sh.loadNotifier(); nt != nil {
@@ -771,8 +765,8 @@ func (sh *Sharded) Advance(t Tick) {
 		return
 	}
 	sh.observe(t)
-	// Every stripe stays locked until the commit (see the durable.go file
-	// comment), so readers also see the advance land on all stripes at once.
+	// Every stripe stays locked until the commit, as in AddBatch (see the
+	// durable.go file comment).
 	for i := range sh.shards {
 		s := &sh.shards[i]
 		s.mu.Lock()
